@@ -153,7 +153,8 @@ let run_hlic src_path use_hli machine run emit_hli dump_rtl passes ablation
             in
             let r =
               Harness.Telemetry.span ~tm "machine.simulate" (fun () ->
-                  Machine.Simulate.run ~md m rtl)
+                  Driver.Pass_manager.with_sim_diagnostics (fun () ->
+                      Machine.Simulate.run ~md m rtl))
             in
             Fmt.pr "%s" r.Machine.Simulate.output;
             Fmt.pr "[%s] %d cycles, %d instructions, L1 %d/%d hits/misses@."

@@ -159,16 +159,26 @@ let run_fn ?maintain ~factor (fn : fn) : stats =
               in
               (* Loop-carried registers (used before their definition in
                  body order, e.g. accumulators) must keep their names so
-                 the copies chain through them; only iteration-local
-                 temporaries are renamed. *)
-              let carried : (reg, unit) Hashtbl.t = Hashtbl.create 16 in
+                 the copies chain through them, and so must registers
+                 read outside the body (after the loop, or by the
+                 header), which must hold the last copy's value; only
+                 iteration-local temporaries are renamed. *)
+              let kept : (reg, unit) Hashtbl.t = Hashtbl.create 16 in
               let defined : (reg, unit) Hashtbl.t = Hashtbl.create 16 in
+              Array.iteri
+                (fun k b ->
+                  if k <> c.c_body then
+                    List.iter
+                      (fun (i : insn) ->
+                        List.iter (fun r -> Hashtbl.replace kept r ()) (uses i))
+                      b.insns)
+                fn.blocks;
               List.iter
                 (fun (i : insn) ->
                   List.iter
                     (fun r ->
                       if not (Hashtbl.mem defined r) then
-                        Hashtbl.replace carried r ())
+                        Hashtbl.replace kept r ())
                     (uses i);
                   match def i with
                   | Some d -> Hashtbl.replace defined d ()
@@ -187,7 +197,7 @@ let run_fn ?maintain ~factor (fn : fn) : stats =
                     else Option.value ~default:r (Hashtbl.find_opt rename r)
                   in
                   let map_def r =
-                    if Hashtbl.mem carried r then r
+                    if Hashtbl.mem kept r then r
                     else begin
                       let nr = !next_reg in
                       incr next_reg;

@@ -44,6 +44,11 @@
     - [E1113] frame known but not offered at the negotiated version
       (e.g. [Q_prob] on a v4 session)
 
+    The simulation block [E09xx]: [E0901] an HLI schedule changed the
+    program's output, [E0902] a runtime error (division by zero, an
+    address out of range, stack overflow, globals that do not fit),
+    [E0903] the instruction budget ran out.
+
     [E1012] (driver block) flags a malformed [HLI_JOBS] value whose
     silent fallback used to hide typos (see [Pool.default_jobs]). *)
 

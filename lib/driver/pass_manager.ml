@@ -236,6 +236,18 @@ let run_simulate ctx ~arg:_ (s : scheduled) : Machine.Simulate.report =
   Machine.Simulate.run ~fuel:ctx.fuel ~md (Variant.sim_machine v.machine)
     s.s_rtl
 
+(** [f ()], with the simulator's failures turned into diagnostics of
+    the simulation phase (exit code 5): a runtime error is [E0902], an
+    exhausted instruction budget [E0903].  The table harness keeps the
+    raw exceptions, which it prints in a failed row's annotation. *)
+let with_sim_diagnostics f =
+  try f () with
+  | Machine.Exec.Runtime_error msg ->
+      Diagnostics.error ~code:"E0902" ~phase:Diagnostics.Sim "runtime error: %s" msg
+  | Machine.Exec.Out_of_fuel ->
+      Diagnostics.error ~code:"E0903" ~phase:Diagnostics.Sim
+        "out of fuel: the instruction budget was exhausted"
+
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)

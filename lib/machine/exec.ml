@@ -1,36 +1,29 @@
 (** Execution-driven RTL interpreter.
 
-    Runs a lowered {!Backend.Rtl.program} against a flat byte-addressed
-    memory, calling a user-supplied hook on every executed instruction —
-    the timing models ({!Inorder}, {!Ooo}) consume that dynamic stream on
-    the fly, so no trace is materialized.
+    Runs a program in its pre-decoded form ({!Decode}) against a flat
+    byte-addressed memory, stepping a timing model ({!Inorder}, {!Ooo})
+    on every executed instruction — the models consume the dynamic
+    stream on the fly, so no trace is materialized.  Dynamic facts (the
+    effective address, whether control was redirected, the speculative
+    loads a store recovered) reach the model as arguments.
 
-    Memory layout: globals are placed from [global_base] upward; each
-    activation gets a frame below the previous one (stack grows down),
+    Nothing is allocated per executed instruction.  Registers live in two
+    unboxed stacks, [int array] and [float array], one window of
+    [vreg_count] slots per activation; call arguments and return values
+    are staged in both conversions, so a callee reads an argument in the
+    class of the register it lands in.  Only the printing builtins and
+    the rare growth of a stack allocate.
+
+    Memory layout: see {!Decode}.  Each activation gets a frame below the
+    previous one (stack grows down, and must stay above the globals),
     with its 128-byte outgoing-argument area directly below the frame
     base, shared with the callee's incoming-argument view. *)
 
-open Backend
+open Decode
 
-exception Runtime_error of string
+exception Runtime_error = Decode.Runtime_error
 
 exception Out_of_fuel
-
-(** One executed instruction, as seen by a timing model.  Register ids
-    are globalized (per-function base added) so models need no notion of
-    activations; recursion folds onto the same ids, which only makes the
-    timing marginally conservative. *)
-type dyn = {
-  d_insn : Rtl.insn;
-  d_srcs : int list;  (** globalized source registers *)
-  d_dst : int option;
-  d_addr : int;  (** effective address for loads/stores, else 0 *)
-  d_taken : bool;  (** control transfer actually redirected *)
-  d_misspec : int;
-      (** speculative loads this store collided with (re-loads the
-          recovery performed here); 0 everywhere else.  Timing models
-          charge the misspeculation penalty off this. *)
-}
 
 type result = {
   ret : int;
@@ -39,393 +32,414 @@ type result = {
   misspec : int;  (** misspeculation recoveries performed *)
 }
 
+(** The timing model an execution steps. *)
+type timing = Functional | In_order of Inorder.t | Out_of_order of Ooo.t
+
 type state = {
-  prog : Rtl.program;
+  prog : Decode.program;
   mem : Bytes.t;
-  global_addr : (int, int) Hashtbl.t;  (** symbol id -> address *)
   out : Buffer.t;
   mutable rand_state : int;
-  mutable fuel : int;
+  limit : int;  (** instructions that may execute; [max_int]: unlimited *)
   mutable executed : int;
   mutable misspec : int;  (** misspeculation recoveries across the run *)
-  hook : dyn -> unit;
-  reg_base : (string, int) Hashtbl.t;  (** per-function global reg base *)
+  mutable timing : timing;
+  (* register windows: an activation owns [base, base + nregs) *)
+  mutable ri : int array;
+  mutable rf : float array;
+  mutable rtop : int;
+  (* staged call arguments: an activation's are [abase, abase + nargs) *)
+  mutable ai : int array;
+  mutable af : float array;
+  mutable atop : int;
+  (* the last return value, in both conversions *)
+  mutable ret_i : int;
+  ret_f : float array;  (** one slot, so the float stays unboxed *)
+  (* in-flight speculative loads: destination register, the load's
+     index in its function's code, and its captured effective address;
+     an activation's are [spec_lo, spec_top) *)
+  mutable spec_reg : int array;
+  mutable spec_pc : int array;
+  mutable spec_addr : int array;
+  mutable spec_top : int;
 }
-
-let mem_size = 32 * 1024 * 1024
-
-let global_base = 0x1000
-
-let argout_bytes = 128
-
-(* ------------------------------------------------------------------ *)
-(* Memory helpers                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let check_addr st addr size =
-  if addr < 0 || addr + size > Bytes.length st.mem then
-    raise (Runtime_error (Printf.sprintf "address out of range: 0x%x" addr))
-
-let load_int st addr =
-  check_addr st addr 4;
-  Int32.to_int (Bytes.get_int32_le st.mem addr)
-
-let store_int st addr v =
-  check_addr st addr 4;
-  Bytes.set_int32_le st.mem addr (Int32.of_int v)
-
-let load_flt st addr =
-  check_addr st addr 8;
-  Int64.float_of_bits (Bytes.get_int64_le st.mem addr)
-
-let store_flt st addr v =
-  check_addr st addr 8;
-  Bytes.set_int64_le st.mem addr (Int64.bits_of_float v)
 
 (* ------------------------------------------------------------------ *)
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let layout_globals (prog : Rtl.program) mem =
-  let tbl = Hashtbl.create 64 in
-  let next = ref global_base in
+(** Decode [prog] and lay out its memory.  [fuel] is the instruction
+    budget: exactly [fuel] instructions execute before {!Out_of_fuel} is
+    raised on the next one; [fuel = 0] (or negative) means unlimited.
+    Raises {!Runtime_error} when the globals do not fit below the
+    stack. *)
+let make ?(fuel = 400_000_000) (prog : Backend.Rtl.program) : state =
+  let p = Decode.program prog in
+  let mem = Bytes.make mem_size '\000' in
   List.iter
-    (fun ((s : Srclang.Symbol.t), init) ->
-      let size = max 8 (Srclang.Types.size_of s.Srclang.Symbol.ty) in
-      let addr = !next in
-      next := addr + ((size + 7) land lnot 7);
-      Hashtbl.replace tbl s.Srclang.Symbol.id addr;
+    (fun (addr, init) ->
       match init with
-      | Some (Srclang.Tast.Ginit_int n) ->
-          Bytes.set_int32_le mem addr (Int32.of_int n)
+      | Some (Srclang.Tast.Ginit_int n) -> Bytes.set_int32_le mem addr (Int32.of_int n)
       | Some (Srclang.Tast.Ginit_float f) ->
           Bytes.set_int64_le mem addr (Int64.bits_of_float f)
       | None -> ())
-    prog.Rtl.globals;
-  tbl
-
-(** Build an execution state.  [fuel] is the instruction budget:
-    exactly [fuel] instructions execute before {!Out_of_fuel} is
-    raised on the next one; [fuel = 0] (or negative) means unlimited. *)
-let make ?(fuel = 400_000_000) ?(hook = fun (_ : dyn) -> ()) (prog : Rtl.program) :
-    state =
-  let mem = Bytes.make mem_size '\000' in
-  let reg_base = Hashtbl.create 16 in
-  let base = ref 0 in
-  List.iter
-    (fun (f : Rtl.fn) ->
-      Hashtbl.replace reg_base f.Rtl.fname !base;
-      base := !base + f.Rtl.vreg_count)
-    prog.Rtl.fns;
+    p.globals;
   {
-    prog;
+    prog = p;
     mem;
-    global_addr = layout_globals prog mem;
     out = Buffer.create 256;
     rand_state = 123456789;
-    fuel;
+    limit = (if fuel > 0 then fuel else max_int);
     executed = 0;
     misspec = 0;
-    hook;
-    reg_base;
+    timing = Functional;
+    ri = Array.make 1024 0;
+    rf = Array.make 1024 0.0;
+    rtop = 0;
+    ai = Array.make 64 0;
+    af = Array.make 64 0.0;
+    atop = 0;
+    ret_i = 0;
+    ret_f = [| 0.0 |];
+    spec_reg = Array.make 16 0;
+    spec_pc = Array.make 16 0;
+    spec_addr = Array.make 16 0;
+    spec_top = 0;
   }
+
+(** Globalized registers of the program: the size of a timing model's
+    scoreboard. *)
+let regs st = st.prog.total_regs
+
+let grown n len = max n (2 * len)
+
+let grow_regs st n =
+  let ri = Array.make (grown n (Array.length st.ri)) 0
+  and rf = Array.make (grown n (Array.length st.rf)) 0.0 in
+  Array.blit st.ri 0 ri 0 st.rtop;
+  Array.blit st.rf 0 rf 0 st.rtop;
+  st.ri <- ri;
+  st.rf <- rf
+
+let grow_args st n =
+  let ai = Array.make (grown n (Array.length st.ai)) 0
+  and af = Array.make (grown n (Array.length st.af)) 0.0 in
+  Array.blit st.ai 0 ai 0 st.atop;
+  Array.blit st.af 0 af 0 st.atop;
+  st.ai <- ai;
+  st.af <- af
+
+let grow_specs st =
+  let n = 2 * Array.length st.spec_reg in
+  let grow a = Array.append a (Array.make (n - Array.length a) 0) in
+  st.spec_reg <- grow st.spec_reg;
+  st.spec_pc <- grow st.spec_pc;
+  st.spec_addr <- grow st.spec_addr
+
+(* ------------------------------------------------------------------ *)
+(* Memory                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let out_of_range addr =
+  raise (Runtime_error (Printf.sprintf "address out of range: 0x%x" addr))
+
+let[@inline] load_int st addr =
+  if addr < 0 || addr + 4 > mem_size then out_of_range addr;
+  Int32.to_int (Bytes.get_int32_le st.mem addr)
+
+let[@inline] store_int st addr v =
+  if addr < 0 || addr + 4 > mem_size then out_of_range addr;
+  Bytes.set_int32_le st.mem addr (Int32.of_int v)
+
+let[@inline] load_flt st addr =
+  if addr < 0 || addr + 8 > mem_size then out_of_range addr;
+  Int64.float_of_bits (Bytes.get_int64_le st.mem addr)
+
+let[@inline] store_flt st addr v =
+  if addr < 0 || addr + 8 > mem_size then out_of_range addr;
+  Bytes.set_int64_le st.mem addr (Int64.bits_of_float v)
 
 (* ------------------------------------------------------------------ *)
 (* Builtins                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type value = Vi of int | Vf of float
+let[@inline] ret_int st n =
+  st.ret_i <- n;
+  st.ret_f.(0) <- float_of_int n
 
-let as_int = function Vi n -> n | Vf f -> int_of_float f
-let as_flt = function Vf f -> f | Vi n -> float_of_int n
+let[@inline] ret_flt st x =
+  st.ret_i <- int_of_float x;
+  st.ret_f.(0) <- x
 
-let exec_builtin st name (args : value list) : value =
-  let f1 () = match args with a :: _ -> as_flt a | [] -> 0.0 in
-  match name with
-  | "sqrt" -> Vf (sqrt (f1 ()))
-  | "fabs" -> Vf (abs_float (f1 ()))
-  | "exp" -> Vf (exp (f1 ()))
-  | "log" -> Vf (log (f1 ()))
-  | "sin" -> Vf (sin (f1 ()))
-  | "cos" -> Vf (cos (f1 ()))
-  | "pow" -> (
-      match args with
-      | [ a; b ] -> Vf (Float.pow (as_flt a) (as_flt b))
-      | _ -> Vf 0.0)
-  | "abs" -> Vi (abs (match args with a :: _ -> as_int a | [] -> 0))
-  | "print_int" ->
-      Buffer.add_string st.out
-        (string_of_int (match args with a :: _ -> as_int a | [] -> 0));
+(* the [n] arguments are staged at [ab] *)
+let exec_builtin st (i : insn) ab n =
+  let f1 = if n > 0 then st.af.(ab) else 0.0
+  and i1 = if n > 0 then st.ai.(ab) else 0 in
+  match i.builtin with
+  | Sqrt -> ret_flt st (sqrt f1)
+  | Fabs -> ret_flt st (abs_float f1)
+  | Exp -> ret_flt st (exp f1)
+  | Log -> ret_flt st (log f1)
+  | Sin -> ret_flt st (sin f1)
+  | Cos -> ret_flt st (cos f1)
+  | Pow -> ret_flt st (if n = 2 then Float.pow f1 st.af.(ab + 1) else 0.0)
+  | Abs -> ret_int st (abs i1)
+  | Print_int ->
+      Buffer.add_string st.out (string_of_int i1);
       Buffer.add_char st.out '\n';
-      Vi 0
-  | "print_double" ->
-      Buffer.add_string st.out
-        (Printf.sprintf "%.6f" (match args with a :: _ -> as_flt a | [] -> 0.0));
+      ret_int st 0
+  | Print_double ->
+      Buffer.add_string st.out (Printf.sprintf "%.6f" f1);
       Buffer.add_char st.out '\n';
-      Vi 0
-  | "rand" ->
+      ret_int st 0
+  | Rand ->
       (* deterministic LCG (glibc constants), masked to 31 bits *)
       st.rand_state <- ((st.rand_state * 1103515245) + 12345) land 0x7fffffff;
-      Vi st.rand_state
-  | "srand" ->
-      st.rand_state <- (match args with a :: _ -> as_int a | [] -> 1);
-      Vi 0
-  | _ -> raise (Runtime_error ("unknown builtin " ^ name))
+      ret_int st st.rand_state
+  | Srand ->
+      st.rand_state <- (if n > 0 then i1 else 1);
+      ret_int st 0
+  | Unknown -> raise (Runtime_error ("unknown builtin " ^ i.name))
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type frame = {
-  fn : Rtl.fn;
-  iregs : int array;
-  fregs : float array;
-  fp : int;  (** frame base address *)
-  argout_base : int;  (** fp - argout_bytes *)
-  caller_argout : int;  (** address of caller's outgoing area *)
-  rbase : int;  (** globalized register base *)
-  args : value array;  (** register-passed arguments *)
-  mutable specs : (int * Rtl.insn * int) list;
-      (** in-flight speculative loads of the current block: dest
-          register, the load, and its captured effective address.  A
-          later store with a smaller uid (originally earlier) that
-          overlaps the address triggers the check's recovery — the
-          destination is re-loaded.  Cleared at block entry; an entry
-          dies when its destination register is redefined. *)
-}
+let[@inline] ival (ri : int array) (rf : float array) (fc : float array) base k x =
+  match k with
+  | Ireg -> ri.(base + x)
+  | Imm -> x
+  | Freg -> int_of_float rf.(base + x)
+  | Fimm -> int_of_float fc.(x)
 
-let reg_val fr cls r =
-  match cls with Rtl.Rint -> Vi fr.iregs.(r) | Rtl.Rflt -> Vf fr.fregs.(r)
+let[@inline] fval (ri : int array) (rf : float array) (fc : float array) base k x =
+  match k with
+  | Ireg -> float_of_int ri.(base + x)
+  | Imm -> float_of_int x
+  | Freg -> rf.(base + x)
+  | Fimm -> fc.(x)
 
-let operand_val fr (op : Rtl.operand) : value =
-  match op with
-  | Rtl.Imm n -> Vi n
-  | Rtl.Fimm f -> Vf f
-  | Rtl.Reg r -> reg_val fr fr.fn.Rtl.vreg_class.(r) r
+(* a speculative value dies when its destination register is redefined *)
+let prune st spec_lo r =
+  let k = ref spec_lo in
+  for j = spec_lo to st.spec_top - 1 do
+    if st.spec_reg.(j) <> r then begin
+      st.spec_reg.(!k) <- st.spec_reg.(j);
+      st.spec_pc.(!k) <- st.spec_pc.(j);
+      st.spec_addr.(!k) <- st.spec_addr.(j);
+      incr k
+    end
+  done;
+  st.spec_top <- !k
 
-let prune_spec fr r =
-  if fr.specs <> [] then
-    fr.specs <- List.filter (fun (d, _, _) -> d <> r) fr.specs
+(* the value of a definition converts to its destination's class *)
+let[@inline] def_int st spec_lo (ri : int array) (rf : float array) base (i : insn) v =
+  if st.spec_top > spec_lo then prune st spec_lo i.dst;
+  if i.dflt then rf.(base + i.dst) <- float_of_int v else ri.(base + i.dst) <- v
 
-let set_reg fr r (v : value) =
-  prune_spec fr r;
-  match fr.fn.Rtl.vreg_class.(r) with
-  | Rtl.Rint -> fr.iregs.(r) <- as_int v
-  | Rtl.Rflt -> fr.fregs.(r) <- as_flt v
+let[@inline] def_flt st spec_lo (ri : int array) (rf : float array) base (i : insn) x =
+  if st.spec_top > spec_lo then prune st spec_lo i.dst;
+  if i.dflt then rf.(base + i.dst) <- x else ri.(base + i.dst) <- int_of_float x
 
-let addr_of_mem st fr (m : Rtl.mem) : int =
-  let base =
-    match m.Rtl.mbase with
-    | Rtl.Bsym s -> (
-        match Hashtbl.find_opt st.global_addr s.Srclang.Symbol.id with
-        | Some a -> a
-        | None -> raise (Runtime_error ("no address for global " ^ s.Srclang.Symbol.name)))
-    | Rtl.Breg r -> fr.iregs.(r)
-    | Rtl.Bframe -> fr.fp
-    | Rtl.Bargout -> fr.argout_base
-    | Rtl.Bargin -> fr.caller_argout
-  in
-  let idx = match m.Rtl.mindex with Some r -> fr.iregs.(r) * m.Rtl.mscale | None -> 0 in
-  base + m.Rtl.moffset + idx
+(* The check of every speculative load hoisted above this store
+   (originally-later loads only: uid order is original program order)
+   fires on an address overlap — recovery re-executes the load.
+   Returns the number of recoveries. *)
+let recover st code spec_lo (ri : int array) (rf : float array) base (i : insn) addr =
+  let n = ref 0 in
+  for j = spec_lo to st.spec_top - 1 do
+    let l = code.(st.spec_pc.(j)) and a0 = st.spec_addr.(j) in
+    if l.uid > i.uid && a0 < addr + i.msize && addr < a0 + l.msize then begin
+      incr n;
+      let d = base + st.spec_reg.(j) in
+      if l.mflt then rf.(d) <- load_flt st a0 else ri.(d) <- load_int st a0
+    end
+  done;
+  st.misspec <- st.misspec + !n;
+  !n
 
-let alu_op (op : Rtl.alu_op) a b =
-  match op with
-  | Rtl.Add -> a + b
-  | Rtl.Sub -> a - b
-  | Rtl.Mul -> a * b
-  | Rtl.Div -> if b = 0 then raise (Runtime_error "division by zero") else a / b
-  | Rtl.Rem -> if b = 0 then raise (Runtime_error "modulo by zero") else a mod b
-  | Rtl.And -> a land b
-  | Rtl.Or -> a lor b
-  | Rtl.Xor -> a lxor b
-  | Rtl.Shl -> a lsl (b land 31)
-  | Rtl.Shr -> a asr (b land 31)
-  | Rtl.Slt -> if a < b then 1 else 0
-  | Rtl.Sle -> if a <= b then 1 else 0
-  | Rtl.Seq -> if a = b then 1 else 0
-  | Rtl.Sne -> if a <> b then 1 else 0
-
-let falu_op (op : Rtl.falu_op) a b : value =
-  match op with
-  | Rtl.Fadd -> Vf (a +. b)
-  | Rtl.Fsub -> Vf (a -. b)
-  | Rtl.Fmul -> Vf (a *. b)
-  | Rtl.Fdiv -> Vf (a /. b)
-  | Rtl.Fslt -> Vi (if a < b then 1 else 0)
-  | Rtl.Fsle -> Vi (if a <= b then 1 else 0)
-  | Rtl.Fseq -> Vi (if a = b then 1 else 0)
-  | Rtl.Fsne -> Vi (if a <> b then 1 else 0)
-
-let globalize fr regs = List.map (fun r -> fr.rbase + r) regs
-
-let emit_dyn ?(misspec = 0) st fr (i : Rtl.insn) ~addr ~taken =
-  (* check before counting: with [fuel = n] exactly [n] instructions
-     execute (and reach the hook) before the n+1st raises *)
-  if st.fuel > 0 && st.executed >= st.fuel then raise Out_of_fuel;
+(* check the budget before counting: with [fuel = n] exactly [n]
+   instructions execute (and reach the timing model) before the n+1st
+   raises *)
+let[@inline] emit st (i : insn) addr taken misspec =
+  if st.executed >= st.limit then raise Out_of_fuel;
   st.executed <- st.executed + 1;
-  st.hook
-    {
-      d_insn = i;
-      d_srcs = globalize fr (Rtl.uses i);
-      d_dst = Option.map (fun r -> fr.rbase + r) (Rtl.def i);
-      d_addr = addr;
-      d_taken = taken;
-      d_misspec = misspec;
-    }
+  match st.timing with
+  | Functional -> ()
+  | In_order m -> Inorder.step m i addr taken misspec
+  | Out_of_order m -> Ooo.step m i addr taken misspec
 
-let rec exec_call st ~sp name (args : value list) : value =
-  match Rtl.find_fn st.prog name with
-  | None -> exec_builtin st name args
-  | Some fn -> exec_fn st ~sp fn args
+let[@inline] alu (op : Backend.Rtl.alu_op) x y =
+  match op with
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Div -> if y = 0 then raise (Runtime_error "division by zero") else x / y
+  | Rem -> if y = 0 then raise (Runtime_error "modulo by zero") else x mod y
+  | And -> x land y
+  | Or -> x lor y
+  | Xor -> x lxor y
+  | Shl -> x lsl (y land 31)
+  | Shr -> x asr (y land 31)
+  | Slt -> Bool.to_int (x < y)
+  | Sle -> Bool.to_int (x <= y)
+  | Seq -> Bool.to_int (x = y)
+  | Sne -> Bool.to_int (x <> y)
 
-and exec_fn st ~sp (fn : Rtl.fn) (args : value list) : value =
-  (* sp points just below the caller's outgoing-argument area *)
-  let fp = sp - fn.Rtl.frame_size in
-  if fp - argout_bytes < global_base then raise (Runtime_error "stack overflow");
-  let fr =
-    {
-      fn;
-      iregs = Array.make (max 1 fn.Rtl.vreg_count) 0;
-      fregs = Array.make (max 1 fn.Rtl.vreg_count) 0.0;
-      fp;
-      argout_base = fp - argout_bytes;
-      caller_argout = sp;
-      rbase = (try Hashtbl.find st.reg_base fn.Rtl.fname with Not_found -> 0);
-      args = Array.of_list args;
-      specs = [];
-    }
+let[@inline] address (ri : int array) base ~fp ~argout ~sp (i : insn) =
+  let b =
+    match i.mbase_k with
+    | Abs -> 0
+    | Breg -> ri.(base + i.mbase)
+    | Frame -> fp
+    | Argout -> argout
+    | Argin -> sp
   in
-  let blocks = fn.Rtl.blocks in
-  let rec run_block bid : value =
-    (* speculation never crosses a block: the DDG that dropped the
-       edges is block-local *)
-    fr.specs <- [];
-    let rec run_insns = function
-      | [] -> Vi 0 (* block fell off the end: treat as return 0 *)
-      | (i : Rtl.insn) :: rest -> (
-          match i.Rtl.desc with
-          | Rtl.Li (d, op) ->
-              set_reg fr d (operand_val fr op);
-              emit_dyn st fr i ~addr:0 ~taken:false;
-              run_insns rest
-          | Rtl.Alu (op, d, a, b) ->
-              set_reg fr d
-                (Vi (alu_op op (as_int (operand_val fr a)) (as_int (operand_val fr b))));
-              emit_dyn st fr i ~addr:0 ~taken:false;
-              run_insns rest
-          | Rtl.Falu (op, d, a, b) ->
-              set_reg fr d
-                (falu_op op (as_flt (operand_val fr a)) (as_flt (operand_val fr b)));
-              emit_dyn st fr i ~addr:0 ~taken:false;
-              run_insns rest
-          | Rtl.La (d, s) ->
-              set_reg fr d
-                (Vi
-                   (match Hashtbl.find_opt st.global_addr s.Srclang.Symbol.id with
-                   | Some a -> a
-                   | None -> raise (Runtime_error "unallocated global")));
-              emit_dyn st fr i ~addr:0 ~taken:false;
-              run_insns rest
-          | Rtl.Laf (d, off) ->
-              set_reg fr d (Vi (fr.fp + off));
-              emit_dyn st fr i ~addr:0 ~taken:false;
-              run_insns rest
-          | Rtl.Load (d, m) ->
-              let addr = addr_of_mem st fr m in
-              let v =
-                match m.Rtl.mclass with
-                | Rtl.Rint -> Vi (load_int st addr)
-                | Rtl.Rflt -> Vf (load_flt st addr)
-              in
-              set_reg fr d v;
-              emit_dyn st fr i ~addr ~taken:false;
-              if i.Rtl.spec then fr.specs <- (d, i, addr) :: fr.specs;
-              run_insns rest
-          | Rtl.Store (m, v) ->
-              let addr = addr_of_mem st fr m in
-              (match m.Rtl.mclass with
-              | Rtl.Rint -> store_int st addr (as_int (operand_val fr v))
-              | Rtl.Rflt -> store_flt st addr (as_flt (operand_val fr v)));
-              let misspec =
-                if fr.specs = [] then 0
-                else begin
-                  (* the check of every speculative load hoisted above
-                     this store (originally-later loads only: uid order
-                     is original program order) fires on an address
-                     overlap — recovery re-executes the load *)
-                  let n = ref 0 in
-                  List.iter
-                    (fun (d, (li : Rtl.insn), a0) ->
-                      if li.Rtl.uid > i.Rtl.uid then
-                        match Rtl.mem_of_insn li with
-                        | Some lm
-                          when a0 < addr + m.Rtl.msize
-                               && addr < a0 + lm.Rtl.msize -> (
-                            incr n;
-                            match lm.Rtl.mclass with
-                            | Rtl.Rint -> fr.iregs.(d) <- load_int st a0
-                            | Rtl.Rflt -> fr.fregs.(d) <- load_flt st a0)
-                        | _ -> ())
-                    fr.specs;
-                  st.misspec <- st.misspec + !n;
-                  !n
-                end
-              in
-              emit_dyn ~misspec st fr i ~addr ~taken:false;
-              run_insns rest
-          | Rtl.Cvt_i2f (d, s) ->
-              prune_spec fr d;
-              fr.fregs.(d) <- float_of_int fr.iregs.(s);
-              emit_dyn st fr i ~addr:0 ~taken:false;
-              run_insns rest
-          | Rtl.Cvt_f2i (d, s) ->
-              prune_spec fr d;
-              fr.iregs.(d) <- int_of_float fr.fregs.(s);
-              emit_dyn st fr i ~addr:0 ~taken:false;
-              run_insns rest
-          | Rtl.Getarg (d, k) ->
-              set_reg fr d (if k < Array.length fr.args then fr.args.(k) else Vi 0);
-              emit_dyn st fr i ~addr:0 ~taken:false;
-              run_insns rest
-          | Rtl.Call (name, ops, dst) ->
-              let argv = List.map (operand_val fr) ops in
-              emit_dyn st fr i ~addr:0 ~taken:false;
-              let v = exec_call st ~sp:fr.argout_base name argv in
-              (match dst with Some d -> set_reg fr d v | None -> ());
-              run_insns rest
-          | Rtl.Br_eqz (r, l) ->
-              let taken = fr.iregs.(r) = 0 in
-              emit_dyn st fr i ~addr:0 ~taken;
-              if taken then run_block l else run_insns rest
-          | Rtl.Br_nez (r, l) ->
-              let taken = fr.iregs.(r) <> 0 in
-              emit_dyn st fr i ~addr:0 ~taken;
-              if taken then run_block l else run_insns rest
-          | Rtl.Jmp l ->
-              emit_dyn st fr i ~addr:0 ~taken:true;
-              run_block l
-          | Rtl.Ret op ->
-              emit_dyn st fr i ~addr:0 ~taken:true;
-              (match op with Some v -> operand_val fr v | None -> Vi 0))
-    in
-    run_insns blocks.(bid).Rtl.insns
-  in
-  run_block fn.Rtl.entry
+  let idx = if i.midx >= 0 then ri.(base + i.midx) * i.mscale else 0 in
+  b + i.moff + idx
 
-(** Run [main].  Raises {!Runtime_error} for bad programs and
-    {!Out_of_fuel} when the instruction budget is exhausted — exactly
-    [fuel] instructions execute before the budget trips, and
-    [fuel = 0] means unlimited. *)
-let run ?fuel ?hook (prog : Rtl.program) : result =
-  let st = make ?fuel ?hook prog in
-  match Rtl.find_fn prog "main" with
-  | None -> raise (Runtime_error "no main function")
-  | Some fn ->
-      let sp = mem_size - 64 in
-      let v = exec_fn st ~sp fn [] in
-      {
-        ret = as_int v;
-        output = Buffer.contents st.out;
-        dyn_count = st.executed;
-        misspec = st.misspec;
-      }
+(* Run function [fi] with its frame below [sp] and [nargs] arguments
+   staged at [abase]; leaves the return value in [st.ret_i]/[st.ret_f]. *)
+let rec exec_fn st fi ~sp ~abase ~nargs =
+  let f = st.prog.fns.(fi) in
+  let fp = sp - f.frame_size in
+  let argout = fp - argout_bytes in
+  if argout < st.prog.globals_end then raise (Runtime_error "stack overflow");
+  let base = st.rtop and n = f.nregs in
+  if base + n > Array.length st.ri then grow_regs st (base + n);
+  Array.fill st.ri base n 0;
+  Array.fill st.rf base n 0.0;
+  st.rtop <- base + n;
+  let spec_lo = st.spec_top in
+  let code = f.code and fc = st.prog.fconst in
+  (* the register stacks, re-read after a call (which may grow them) *)
+  let ri_stack = ref st.ri and rf_stack = ref st.rf in
+  let pc = ref f.entry_pc and running = ref true in
+  while !running do
+    let i = code.(!pc) and ri = !ri_stack and rf = !rf_stack in
+    (match i.op with
+    | Li ->
+        if i.dflt then def_flt st spec_lo ri rf base i (fval ri rf fc base i.ak i.a)
+        else def_int st spec_lo ri rf base i (ival ri rf fc base i.ak i.a);
+        emit st i 0 false 0
+    | Alu o ->
+        let x = ival ri rf fc base i.ak i.a and y = ival ri rf fc base i.bk i.b in
+        def_int st spec_lo ri rf base i (alu o x y);
+        emit st i 0 false 0
+    | Falu o ->
+        let x = fval ri rf fc base i.ak i.a and y = fval ri rf fc base i.bk i.b in
+        (match o with
+        | Fadd -> def_flt st spec_lo ri rf base i (x +. y)
+        | Fsub -> def_flt st spec_lo ri rf base i (x -. y)
+        | Fmul -> def_flt st spec_lo ri rf base i (x *. y)
+        | Fdiv -> def_flt st spec_lo ri rf base i (x /. y)
+        | Fslt -> def_int st spec_lo ri rf base i (Bool.to_int (x < y))
+        | Fsle -> def_int st spec_lo ri rf base i (Bool.to_int (x <= y))
+        | Fseq -> def_int st spec_lo ri rf base i (Bool.to_int (x = y))
+        | Fsne -> def_int st spec_lo ri rf base i (Bool.to_int (x <> y)));
+        emit st i 0 false 0
+    | La ->
+        def_int st spec_lo ri rf base i i.a;
+        emit st i 0 false 0
+    | Laf ->
+        def_int st spec_lo ri rf base i (fp + i.a);
+        emit st i 0 false 0
+    | Load ->
+        let addr = address ri base ~fp ~argout ~sp i in
+        if i.mflt then def_flt st spec_lo ri rf base i (load_flt st addr)
+        else def_int st spec_lo ri rf base i (load_int st addr);
+        emit st i addr false 0;
+        if i.spec then begin
+          if st.spec_top = Array.length st.spec_reg then grow_specs st;
+          st.spec_reg.(st.spec_top) <- i.dst;
+          st.spec_pc.(st.spec_top) <- !pc;
+          st.spec_addr.(st.spec_top) <- addr;
+          st.spec_top <- st.spec_top + 1
+        end
+    | Store ->
+        let addr = address ri base ~fp ~argout ~sp i in
+        if i.mflt then store_flt st addr (fval ri rf fc base i.bk i.b)
+        else store_int st addr (ival ri rf fc base i.bk i.b);
+        let misspec =
+          if st.spec_top > spec_lo then recover st code spec_lo ri rf base i addr else 0
+        in
+        emit st i addr false misspec
+    | Cvt_i2f ->
+        if st.spec_top > spec_lo then prune st spec_lo i.dst;
+        rf.(base + i.dst) <- float_of_int ri.(base + i.a);
+        emit st i 0 false 0
+    | Cvt_f2i ->
+        if st.spec_top > spec_lo then prune st spec_lo i.dst;
+        ri.(base + i.dst) <- int_of_float rf.(base + i.a);
+        emit st i 0 false 0
+    | Getarg ->
+        let k = i.a in
+        if i.dflt then
+          def_flt st spec_lo ri rf base i (if k < nargs then st.af.(abase + k) else 0.0)
+        else def_int st spec_lo ri rf base i (if k < nargs then st.ai.(abase + k) else 0);
+        emit st i 0 false 0
+    | Call ->
+        let n = Array.length i.arg_x and ab = st.atop in
+        if ab + n > Array.length st.ai then grow_args st (ab + n);
+        for k = 0 to n - 1 do
+          let kind = i.arg_k.(k) and x = i.arg_x.(k) in
+          st.ai.(ab + k) <- ival ri rf fc base kind x;
+          st.af.(ab + k) <- fval ri rf fc base kind x
+        done;
+        emit st i 0 false 0;
+        st.atop <- ab + n;
+        if i.target >= 0 then exec_fn st i.target ~sp:argout ~abase:ab ~nargs:n
+        else exec_builtin st i ab n;
+        st.atop <- ab;
+        ri_stack := st.ri;
+        rf_stack := st.rf;
+        if i.dst >= 0 then
+          if i.dflt then def_flt st spec_lo st.ri st.rf base i st.ret_f.(0)
+          else def_int st spec_lo st.ri st.rf base i st.ret_i
+    | Br_eqz ->
+        let taken = ri.(base + i.a) = 0 in
+        emit st i 0 taken 0;
+        if taken then begin
+          (* speculation never crosses a block: the DDG that dropped
+             the edges is block-local *)
+          st.spec_top <- spec_lo;
+          pc := i.target - 1
+        end
+    | Br_nez ->
+        let taken = ri.(base + i.a) <> 0 in
+        emit st i 0 taken 0;
+        if taken then begin
+          st.spec_top <- spec_lo;
+          pc := i.target - 1
+        end
+    | Jmp ->
+        emit st i 0 true 0;
+        st.spec_top <- spec_lo;
+        pc := i.target - 1
+    | Ret ->
+        emit st i 0 true 0;
+        st.ret_i <- ival ri rf fc base i.ak i.a;
+        st.ret_f.(0) <- fval ri rf fc base i.ak i.a;
+        running := false
+    | End ->
+        (* the block fell off its end: return 0, uncounted *)
+        ret_int st 0;
+        running := false);
+    incr pc
+  done;
+  st.rtop <- base;
+  st.spec_top <- spec_lo
+
+(** Run [main] on a made state, stepping [timing] (default: none).
+    Raises {!Runtime_error} for bad programs and {!Out_of_fuel} when the
+    instruction budget is exhausted. *)
+let exec ?(timing = Functional) st : result =
+  if st.prog.main < 0 then raise (Runtime_error "no main function");
+  st.timing <- timing;
+  exec_fn st st.prog.main ~sp:stack_top ~abase:0 ~nargs:0;
+  { ret = st.ret_i; output = Buffer.contents st.out; dyn_count = st.executed; misspec = st.misspec }
+
+(** [make] then [exec] without a timing model: exactly [fuel]
+    instructions execute before the budget trips, and [fuel = 0] means
+    unlimited. *)
+let run ?fuel (prog : Backend.Rtl.program) : result = exec (make ?fuel prog)

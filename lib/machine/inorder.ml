@@ -10,48 +10,48 @@
 
 type t = {
   md : Backend.Machdesc.t;
+  lat : int array;  (** per {!Decode} latency class *)
   cache : Cache.t;
-  reg_ready : (int, int) Hashtbl.t;
+  reg_ready : int array;  (** globalized register -> cycle its value is ready *)
   mutable last_issue : int;
   mutable cycles : int;
   mutable insns : int;
 }
 
-let make ?(md = Backend.Machdesc.r4600) () =
+(** A model for a program of [regs] globalized registers
+    ({!Decode.program.total_regs}). *)
+let make ?(md = Backend.Machdesc.r4600) ~regs () =
   {
     md;
+    lat = Decode.latencies md;
     cache = Cache.r4600 ();
-    reg_ready = Hashtbl.create 1024;
+    reg_ready = Array.make (max 1 regs) 0;
     last_issue = 0;
     cycles = 0;
     insns = 0;
   }
 
-let ready t r = Option.value ~default:0 (Hashtbl.find_opt t.reg_ready r)
-
-let step (t : t) (d : Exec.dyn) =
+(** Account one executed instruction: [addr] is its effective address
+    (loads/stores), [taken] whether it redirected control, [misspec]
+    the speculative loads a store recovered. *)
+let step (t : t) (i : Decode.insn) addr taken misspec =
   t.insns <- t.insns + 1;
-  let i = d.Exec.d_insn in
-  let src_ready = List.fold_left (fun acc r -> max acc (ready t r)) 0 d.Exec.d_srcs in
-  let issue = max (t.last_issue + 1) src_ready in
-  let lat = Backend.Machdesc.latency t.md i in
-  let lat =
-    if Backend.Rtl.is_load i || Backend.Rtl.is_store i then
-      lat + Cache.access t.cache d.Exec.d_addr
-    else lat
-  in
-  (match d.Exec.d_dst with
-  | Some r -> Hashtbl.replace t.reg_ready r (issue + lat)
-  | None -> ());
+  let rr = t.reg_ready and srcs = i.Decode.srcs in
+  let issue = ref (t.last_issue + 1) in
+  for k = 0 to Array.length srcs - 1 do
+    let r = rr.(srcs.(k)) in
+    if r > !issue then issue := r
+  done;
+  let issue = !issue in
+  let lat = t.lat.(i.Decode.lat_class) in
+  let lat = if i.Decode.mem then lat + Cache.access t.cache addr else lat in
+  if i.Decode.gdst >= 0 then rr.(i.Decode.gdst) <- issue + lat;
   (* taken control transfers flush the fetch stage: one bubble *)
-  t.last_issue <- (if d.Exec.d_taken then issue + 1 else issue);
+  t.last_issue <- (if taken then issue + 1 else issue);
   (* a store that caught a misspeculated load stalls the pipeline for
      the recovery (re-fetch and re-execute the load) *)
-  if d.Exec.d_misspec > 0 then
-    t.last_issue <-
-      t.last_issue + (d.Exec.d_misspec * t.md.Backend.Machdesc.misspec_penalty);
+  if misspec > 0 then
+    t.last_issue <- t.last_issue + (misspec * t.md.Backend.Machdesc.misspec_penalty);
   if issue + lat > t.cycles then t.cycles <- issue + lat
 
 let cycles t = t.cycles
-
-let hook t : Exec.dyn -> unit = step t

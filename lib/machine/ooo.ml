@@ -13,78 +13,81 @@
     younger load pays for it; the HLI schedule hoists loads above
     stores, making their issue independent. *)
 
-type entry = {
-  mutable complete : int;  (** cycle the result is available *)
-  mutable retire : int;
-  is_store : bool;
-  is_load : bool;
-  addr_known : int;  (** cycle the effective address is resolved *)
-  addr : int;
-}
-
 type t = {
   md : Backend.Machdesc.t;
+  lat : int array;  (** per {!Decode} latency class *)
   cache : Cache.t;
-  reg_ready : (int, int) Hashtbl.t;
-  rob : entry array;  (** circular, indexed by seq mod window *)
+  reg_ready : int array;  (** globalized register -> cycle its value is ready *)
+  (* the reorder buffer, circular, indexed by seq mod window *)
+  rob_complete : int array;  (** cycle the result is available *)
+  rob_retire : int array;
+  rob_addr : int array;
+  mutable rob_stores : int;  (** bit [s] set: slot [s] holds a store *)
   mutable seq : int;  (** instructions dispatched so far *)
   mutable dispatch_cycle : int;
   mutable dispatch_in_cycle : int;
   mutable last_retire : int;
   mutable retired_in_cycle : int;
-  (* function-unit next-free times: int ALUs, FP units, memory port *)
-  alu_free : int array;
-  fpu_free : int array;
-  mem_free : int array;
+  units : int array array;
+      (** function-unit next-free times per {!Decode} unit class: int
+          ALUs, FP units, memory port *)
   mutable cycles : int;
   mutable insns : int;
   mutable lsq_stall_cycles : int;  (** diagnostic: issue delay due to LSQ *)
 }
 
+(* at most 32: [rob_stores] is a 32-bit set *)
 let window = 32
 
-let make ?(md = Backend.Machdesc.r10000) () =
+(** A model for a program of [regs] globalized registers
+    ({!Decode.program.total_regs}). *)
+let make ?(md = Backend.Machdesc.r10000) ~regs () =
   {
     md;
+    lat = Decode.latencies md;
     cache = Cache.r10000 ();
-    reg_ready = Hashtbl.create 1024;
-    rob =
-      Array.init window (fun _ ->
-          { complete = 0; retire = 0; is_store = false; is_load = false; addr_known = 0; addr = 0 });
+    reg_ready = Array.make (max 1 regs) 0;
+    rob_complete = Array.make window 0;
+    rob_retire = Array.make window 0;
+    rob_addr = Array.make window 0;
+    rob_stores = 0;
     seq = 0;
     dispatch_cycle = 0;
     dispatch_in_cycle = 0;
     last_retire = 0;
     retired_in_cycle = 0;
-    alu_free = Array.make 2 0;
-    fpu_free = Array.make 2 0;
-    mem_free = Array.make 1 0;
+    units = [| Array.make 2 0; Array.make 2 0; Array.make 1 0 |];
     cycles = 0;
     insns = 0;
     lsq_stall_cycles = 0;
   }
 
-let ready t r = Option.value ~default:0 (Hashtbl.find_opt t.reg_ready r)
+(* index of the lowest set bit of a non-zero [m] < 2^32 (de Bruijn) *)
+let debruijn =
+  [|
+    0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13; 23;
+    21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9;
+  |]
 
-(* earliest free slot among k identical units; claims it *)
-let claim_unit units at =
+let[@inline] lowest_bit m =
+  debruijn.((((m land -m) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+(* earliest free slot among k identical units (the first on a tie) *)
+let best_unit (units : int array) =
   let best = ref 0 in
-  Array.iteri (fun i free -> if free < units.(!best) then best := i else ignore free) units;
-  let start = max at units.(!best) in
-  (start, !best)
+  for u = 1 to Array.length units - 1 do
+    if units.(u) < units.(!best) then best := u
+  done;
+  !best
 
-let unit_kind (i : Backend.Rtl.insn) =
-  match i.Backend.Rtl.desc with
-  | Backend.Rtl.Falu _ | Backend.Rtl.Cvt_i2f _ | Backend.Rtl.Cvt_f2i _ -> `Fpu
-  | Backend.Rtl.Load _ | Backend.Rtl.Store _ -> `Mem
-  | _ -> `Alu
-
-let step (t : t) (d : Exec.dyn) =
+(** Account one executed instruction: [addr] is its effective address
+    (loads/stores), [taken] is ignored (no fetch bubbles are modelled),
+    [misspec] the speculative loads a store recovered. *)
+let step (t : t) (i : Decode.insn) addr (_taken : bool) misspec =
   t.insns <- t.insns + 1;
-  let i = d.Exec.d_insn in
   let slot = t.seq mod window in
   (* in-order dispatch: 4 per cycle, and the ROB slot must have retired *)
-  let oldest_retire = if t.seq >= window then t.rob.(slot).retire else 0 in
+  let oldest_retire = if t.seq >= window then t.rob_retire.(slot) else 0 in
   if t.dispatch_in_cycle >= t.md.Backend.Machdesc.issue_width then begin
     t.dispatch_cycle <- t.dispatch_cycle + 1;
     t.dispatch_in_cycle <- 0
@@ -96,26 +99,39 @@ let step (t : t) (d : Exec.dyn) =
   let dispatch = t.dispatch_cycle in
   t.dispatch_in_cycle <- t.dispatch_in_cycle + 1;
   (* operands *)
-  let src_ready = List.fold_left (fun acc r -> max acc (ready t r)) 0 d.Exec.d_srcs in
-  let operand_ready = max dispatch src_ready in
+  let rr = t.reg_ready and srcs = i.Decode.srcs in
+  let operand_ready = ref dispatch in
+  for k = 0 to Array.length srcs - 1 do
+    let r = rr.(srcs.(k)) in
+    if r > !operand_ready then operand_ready := r
+  done;
+  let operand_ready = !operand_ready in
   (* LSQ rule: loads wait until all earlier in-flight stores have known
      addresses; if an earlier store writes the same word, wait for its
      completion (forwarding takes one extra cycle). *)
   let lsq_ready =
-    if (not (Backend.Rtl.is_load i)) || not t.md.Backend.Machdesc.lsq_blocking then 0
+    if (not i.Decode.is_load) || not t.md.Backend.Machdesc.lsq_blocking then 0
     else begin
-      let upto = min t.seq window in
-      let w = ref 0 in
-      for k = 1 to upto - 1 do
-        let e = t.rob.((t.seq - k) mod window) in
+      (* the earlier entries are the slots before [slot], at most
+         window - 1 of them, and never slot 0 while the buffer is still
+         filling (the first instruction is not looked at) *)
+      let stores =
+        t.rob_stores land lnot (1 lsl slot) land if t.seq < window then lnot 1 else -1
+      in
+      let word = addr land lnot 7 in
+      let w = ref 0 and m = ref stores in
+      while !m <> 0 do
+        let e = lowest_bit !m in
+        m := !m land (!m - 1);
         (* stores still in flight (not yet retired) gate the load: the
            R10000 does not issue a load past a store whose independence
            is not yet established, so the load waits until the earlier
            store has executed (or forwarded, same-word case) *)
-        if e.is_store && e.retire > operand_ready then begin
-          if e.complete > !w then w := e.complete;
-          if e.addr land lnot 7 = d.Exec.d_addr land lnot 7 && e.complete + 1 > !w
-          then w := e.complete + 1
+        if t.rob_retire.(e) > operand_ready then begin
+          let complete = t.rob_complete.(e) in
+          if complete > !w then w := complete;
+          if t.rob_addr.(e) land lnot 7 = word && complete + 1 > !w then
+            w := complete + 1
         end
       done;
       !w
@@ -123,27 +139,17 @@ let step (t : t) (d : Exec.dyn) =
   in
   if lsq_ready > operand_ready then
     t.lsq_stall_cycles <- t.lsq_stall_cycles + (lsq_ready - operand_ready);
-  let can_issue = max operand_ready lsq_ready in
-  let units =
-    match unit_kind i with
-    | `Alu -> t.alu_free
-    | `Fpu -> t.fpu_free
-    | `Mem -> t.mem_free
-  in
-  let issue, u = claim_unit units can_issue in
+  let can_issue = if lsq_ready > operand_ready then lsq_ready else operand_ready in
+  let units = t.units.(i.Decode.unit_class) in
+  let u = best_unit units in
+  let issue = if units.(u) > can_issue then units.(u) else can_issue in
   units.(u) <- issue + 1;
-  let lat = Backend.Machdesc.latency t.md i in
-  let lat =
-    if Backend.Rtl.is_load i || Backend.Rtl.is_store i then
-      lat + Cache.access t.cache d.Exec.d_addr
-    else lat
-  in
+  let lat = t.lat.(i.Decode.lat_class) in
+  let lat = if i.Decode.mem then lat + Cache.access t.cache addr else lat in
   let complete = issue + lat in
-  (match d.Exec.d_dst with
-  | Some r -> Hashtbl.replace t.reg_ready r complete
-  | None -> ());
+  if i.Decode.gdst >= 0 then rr.(i.Decode.gdst) <- complete;
   (* in-order retirement, issue_width per cycle *)
-  let retire = max complete t.last_retire in
+  let retire = if complete > t.last_retire then complete else t.last_retire in
   let retire =
     if retire = t.last_retire then begin
       t.retired_in_cycle <- t.retired_in_cycle + 1;
@@ -161,24 +167,18 @@ let step (t : t) (d : Exec.dyn) =
   t.last_retire <- retire;
   (* a store that caught misspeculated loads replays them from the
      issue queue: dispatch restarts after the recovery window *)
-  if d.Exec.d_misspec > 0 then begin
+  if misspec > 0 then begin
     t.dispatch_cycle <-
-      max t.dispatch_cycle
-        (complete + (d.Exec.d_misspec * t.md.Backend.Machdesc.misspec_penalty));
+      max t.dispatch_cycle (complete + (misspec * t.md.Backend.Machdesc.misspec_penalty));
     t.dispatch_in_cycle <- 0
   end;
-  t.rob.(slot) <-
-    {
-      complete;
-      retire;
-      is_store = Backend.Rtl.is_store i;
-      is_load = Backend.Rtl.is_load i;
-      addr_known = operand_ready;
-      addr = d.Exec.d_addr;
-    };
+  t.rob_complete.(slot) <- complete;
+  t.rob_retire.(slot) <- retire;
+  t.rob_stores <-
+    (if i.Decode.is_store then t.rob_stores lor (1 lsl slot)
+     else t.rob_stores land lnot (1 lsl slot));
+  t.rob_addr.(slot) <- addr;
   t.seq <- t.seq + 1;
   if retire > t.cycles then t.cycles <- retire
 
 let cycles t = t.cycles
-
-let hook t : Exec.dyn -> unit = step t

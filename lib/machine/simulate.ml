@@ -24,37 +24,31 @@ let machine_name = function R4600 -> "R4600" | R10000 -> "R10000"
     single knobs such as LSQ load blocking. *)
 let run ?(fuel = 400_000_000) ?md (machine : machine)
     (prog : Backend.Rtl.program) : report =
+  let st = Exec.make ~fuel prog in
+  let report (res : Exec.result) ~cycles ~cache ~lsq_stalls =
+    let l1_hits, l1_misses = Cache.l1_stats cache in
+    {
+      machine;
+      cycles;
+      dyn_insns = res.Exec.dyn_count;
+      output = res.Exec.output;
+      ret = res.Exec.ret;
+      l1_hits;
+      l1_misses;
+      lsq_stalls;
+      misspeculations = res.Exec.misspec;
+    }
+  in
   match machine with
   | R4600 ->
-      let m = Inorder.make ?md () in
-      let res = Exec.run ~fuel ~hook:(Inorder.hook m) prog in
-      let h, mi = Cache.l1_stats m.Inorder.cache in
-      {
-        machine;
-        cycles = Inorder.cycles m;
-        dyn_insns = res.Exec.dyn_count;
-        output = res.Exec.output;
-        ret = res.Exec.ret;
-        l1_hits = h;
-        l1_misses = mi;
-        lsq_stalls = 0;
-        misspeculations = res.Exec.misspec;
-      }
+      let m = Inorder.make ?md ~regs:(Exec.regs st) () in
+      let res = Exec.exec ~timing:(Exec.In_order m) st in
+      report res ~cycles:(Inorder.cycles m) ~cache:m.Inorder.cache ~lsq_stalls:0
   | R10000 ->
-      let m = Ooo.make ?md () in
-      let res = Exec.run ~fuel ~hook:(Ooo.hook m) prog in
-      let h, mi = Cache.l1_stats m.Ooo.cache in
-      {
-        machine;
-        cycles = Ooo.cycles m;
-        dyn_insns = res.Exec.dyn_count;
-        output = res.Exec.output;
-        ret = res.Exec.ret;
-        l1_hits = h;
-        l1_misses = mi;
-        lsq_stalls = m.Ooo.lsq_stall_cycles;
-        misspeculations = res.Exec.misspec;
-      }
+      let m = Ooo.make ?md ~regs:(Exec.regs st) () in
+      let res = Exec.exec ~timing:(Exec.Out_of_order m) st in
+      report res ~cycles:(Ooo.cycles m) ~cache:m.Ooo.cache
+        ~lsq_stalls:m.Ooo.lsq_stall_cycles
 
 (** Functional-only run (no timing), for correctness checks. *)
 let run_functional ?(fuel = 400_000_000) (prog : Backend.Rtl.program) : Exec.result =

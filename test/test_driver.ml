@@ -147,6 +147,31 @@ let pipeline_tests =
         | _ -> Alcotest.fail "expected a typecheck diagnostic");
   ]
 
+(* hlic --run reports simulation failures as diagnostics of the
+   simulation phase (exit code 5), not as uncaught exceptions *)
+let sim_diagnostic_tests =
+  let simulate ?fuel src =
+    let rtl =
+      Backend.Lower.lower_program (Srclang.Typecheck.program_of_string src)
+    in
+    Driver.Pass_manager.with_sim_diagnostics (fun () ->
+        Machine.Simulate.run ?fuel Machine.Simulate.R10000 rtl)
+  in
+  let check_sim name code f =
+    Alcotest.test_case name `Quick (fun () ->
+        match f () with
+        | exception Diagnostics.Diagnostic d ->
+            Alcotest.(check string) "code" code d.Diagnostics.code;
+            Alcotest.(check int) "exit code" 5 (Diagnostics.exit_code d)
+        | _ -> Alcotest.fail "expected a simulation diagnostic")
+  in
+  [
+    check_sim "runtime error is E0902" "E0902" (fun () ->
+        simulate "int main() { int z; z = 0; print_int(1 / z); return 0; }");
+    check_sim "out of fuel is E0903" "E0903" (fun () ->
+        simulate ~fuel:1000 "int main() { while (1) { } return 0; }");
+  ]
+
 (* Byte-identity of the default pipeline against the output recorded
    before the refactor (same two workloads and fuel the @smoke alias
    uses). *)
@@ -177,5 +202,6 @@ let () =
       ("specs", spec_tests);
       ("registry", registry_tests);
       ("pipeline", pipeline_tests);
+      ("sim-diag", sim_diagnostic_tests);
       ("golden", golden_tests);
     ]

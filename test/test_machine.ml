@@ -126,6 +126,35 @@ int main() { print_double(mix(1.0, 2.0, 3.0, 4.0, 0.5)); return 0; }
         match run_src "int main() { int z; z = 0; return 1 / z; }" with
         | exception Machine.Exec.Runtime_error _ -> ()
         | _ -> Alcotest.fail "no error");
+    (* the stack grows down towards the globals; it used to be bounded
+       by the start of the globals instead of their end, so deep
+       recursion silently overwrote [big] (printing 20885) *)
+    Alcotest.test_case "stack overflow stops at the globals" `Quick (fun () ->
+        let src =
+          {|
+int big[7000000];
+int rec(int n) { int a[16]; a[0] = n; if (n == 0) { return 0; } return rec(n - 1) + a[0]; }
+int main() { big[6990000] = 7; rec(50000); print_int(big[6990000]); return 0; }
+|}
+        in
+        match run_src src with
+        | exception Machine.Exec.Runtime_error msg ->
+            Alcotest.(check string) "message" "stack overflow" msg
+        | r -> Alcotest.failf "no error; printed %S" r.Machine.Exec.output);
+    (* globals larger than memory used to be accepted, with main's frame
+       inside them: the stores below overwrote [loc] (printing 8387564) *)
+    Alcotest.test_case "globals that do not fit are rejected" `Quick (fun () ->
+        let src =
+          {|
+int huge[9000000];
+int main() { int loc[4]; int i; loc[0] = 5; for (i = 8387000; i < 8387568; i++) { huge[i] = i; } print_int(loc[0]); return 0; }
+|}
+        in
+        match run_src src with
+        | exception Machine.Exec.Runtime_error msg ->
+            Alcotest.(check string) "message" "globals do not fit"
+              (String.sub msg 0 (min (String.length msg) 18))
+        | r -> Alcotest.failf "no error; printed %S" r.Machine.Exec.output);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -218,6 +247,84 @@ let timing_tests =
           r2.Machine.Simulate.dyn_insns);
   ]
 
+(* The decoded form's latency classes resolve to exactly
+   [Machdesc.latency] on both machines, for every instruction of every
+   workload (as lowered and as scheduled). *)
+let decode_tests =
+  [
+    Alcotest.test_case "latency classes match Machdesc.latency" `Quick (fun () ->
+        List.iter
+          (fun (w : Workloads.Workload.t) ->
+            let rtl =
+              Backend.Lower.lower_program
+                (Srclang.Typecheck.program_of_string w.Workloads.Workload.source)
+            in
+            List.iter
+              (fun md ->
+                let lat = Machine.Decode.latencies md in
+                List.iter
+                  (fun (f : Backend.Rtl.fn) ->
+                    Array.iter
+                      (fun (b : Backend.Rtl.block) ->
+                        List.iter
+                          (fun i ->
+                            Alcotest.(check int)
+                              (Fmt.str "%s %s: %a" md.Backend.Machdesc.name
+                                 w.Workloads.Workload.name Backend.Rtl.pp_insn i)
+                              (Backend.Machdesc.latency md i)
+                              lat.(Machine.Decode.lat_class i))
+                          b.Backend.Rtl.insns)
+                      f.Backend.Rtl.blocks)
+                  rtl.Backend.Rtl.fns)
+              [ Backend.Machdesc.r4600; Backend.Machdesc.r10000 ])
+          Workloads.Registry.all);
+    (* the simulator's no-allocation invariant: a run allocates for its
+       prints, never per executed instruction *)
+    Alcotest.test_case "timing runs do not allocate per instruction" `Quick
+      (fun () ->
+        let src =
+          {|
+double a[256];
+int main()
+{
+  int i;
+  int k;
+  double s;
+  s = 0.0;
+  for (k = 0; k < 40; k++) {
+    for (i = 1; i < 256; i++) { a[i] = a[i - 1] * 0.5 + sqrt(i * 1.0); s = s + a[i]; }
+  }
+  print_double(s);
+  return 0;
+}
+|}
+        in
+        let rtl =
+          Backend.Lower.lower_program (Srclang.Typecheck.program_of_string src)
+        in
+        List.iter
+          (fun (name, timing) ->
+            let st = Machine.Exec.make rtl in
+            let timing = timing st in
+            let w0 = Gc.minor_words () in
+            let r = Machine.Exec.exec ~timing st in
+            let words = Gc.minor_words () -. w0 in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %.0f words for %d instructions" name words
+                 r.Machine.Exec.dyn_count)
+              true
+              (r.Machine.Exec.dyn_count > 100_000 && words < 1000.))
+          [
+            ("functional", fun _ -> Machine.Exec.Functional);
+            ( "R4600",
+              fun st ->
+                Machine.Exec.In_order (Machine.Inorder.make ~regs:(Machine.Exec.regs st) ()) );
+            ( "R10000",
+              fun st ->
+                Machine.Exec.Out_of_order (Machine.Ooo.make ~regs:(Machine.Exec.regs st) ()) );
+          ]);
+  ]
+
 (* Regression: [Exec.run ~fuel:n] executes exactly [n] instructions
    before raising [Out_of_fuel] (the seed let n+1 slip through), and
    [fuel = 0] means unlimited. *)
@@ -228,6 +335,23 @@ let fuel_tests =
   let fresh_rtl () =
     Backend.Lower.lower_program (Srclang.Typecheck.program_of_string src)
   in
+  (* run under budget [n] with each timing model; the budget must trip,
+     and each model must have been stepped exactly [n] times *)
+  let check_trips n =
+    let st = Machine.Exec.make ~fuel:n (fresh_rtl ()) in
+    let m4 = Machine.Inorder.make ~regs:(Machine.Exec.regs st) () in
+    let trips timing st =
+      match Machine.Exec.exec ~timing st with
+      | _ -> Alcotest.fail "expected Out_of_fuel"
+      | exception Machine.Exec.Out_of_fuel -> ()
+    in
+    trips (Machine.Exec.In_order m4) st;
+    Alcotest.(check int) (Printf.sprintf "fuel=%d: R4600 steps" n) n m4.Machine.Inorder.insns;
+    let st = Machine.Exec.make ~fuel:n (fresh_rtl ()) in
+    let m10 = Machine.Ooo.make ~regs:(Machine.Exec.regs st) () in
+    trips (Machine.Exec.Out_of_order m10) st;
+    Alcotest.(check int) (Printf.sprintf "fuel=%d: R10000 steps" n) n m10.Machine.Ooo.insns
+  in
   [
     Alcotest.test_case "fuel = total completes" `Quick (fun () ->
         let total = (Machine.Exec.run (fresh_rtl ())).Machine.Exec.dyn_count in
@@ -235,29 +359,9 @@ let fuel_tests =
         Alcotest.(check int) "dyn_count" total r.Machine.Exec.dyn_count);
     Alcotest.test_case "fuel = n executes exactly n" `Quick (fun () ->
         let total = (Machine.Exec.run (fresh_rtl ())).Machine.Exec.dyn_count in
-        let n = total - 1 in
-        let hooked = ref 0 in
-        (match
-           Machine.Exec.run ~fuel:n ~hook:(fun _ -> incr hooked) (fresh_rtl ())
-         with
-        | _ -> Alcotest.fail "expected Out_of_fuel"
-        | exception Machine.Exec.Out_of_fuel -> ());
-        Alcotest.(check int) "hook saw exactly n instructions" n !hooked);
+        check_trips (total - 1));
     Alcotest.test_case "tiny budgets trip precisely" `Quick (fun () ->
-        List.iter
-          (fun n ->
-            let hooked = ref 0 in
-            (match
-               Machine.Exec.run ~fuel:n
-                 ~hook:(fun _ -> incr hooked)
-                 (fresh_rtl ())
-             with
-            | _ -> Alcotest.fail "expected Out_of_fuel"
-            | exception Machine.Exec.Out_of_fuel -> ());
-            Alcotest.(check int)
-              (Printf.sprintf "fuel=%d" n)
-              n !hooked)
-          [ 1; 2; 10 ]);
+        List.iter check_trips [ 1; 2; 10 ]);
     Alcotest.test_case "fuel = 0 is unlimited" `Quick (fun () ->
         let r = Machine.Exec.run ~fuel:0 (fresh_rtl ()) in
         Alcotest.(check string) "output" "50"
@@ -373,6 +477,14 @@ let speculation_tests =
             Alcotest.(check int)
               (Machine.Simulate.machine_name m ^ " clean run")
               0 miss.Machine.Simulate.misspeculations;
+            (* exact cycle counts, pinned from the original
+               tree-walking simulator *)
+            Alcotest.(check (pair int int))
+              (Machine.Simulate.machine_name m ^ " cycles (hit, clean)")
+              (match m with
+              | Machine.Simulate.R4600 -> (77, 45)
+              | Machine.Simulate.R10000 -> (99, 80))
+              (hit.Machine.Simulate.cycles, miss.Machine.Simulate.cycles);
             (* identical instruction streams: the penalty alone must
                separate the two runs *)
             Alcotest.(check bool)
@@ -388,6 +500,7 @@ let () =
       ("exec", exec_tests);
       ("cache", cache_tests);
       ("timing", timing_tests);
+      ("decode", decode_tests);
       ("fuel", fuel_tests);
       ("speculation", speculation_tests);
     ]

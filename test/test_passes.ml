@@ -233,6 +233,28 @@ let unroll_tests =
         Alcotest.(check int) "nothing unrolled" 0 !total;
         let r = Machine.Exec.run rtl in
         Alcotest.(check string) "21" "21" (String.trim r.Machine.Exec.output));
+    Alcotest.test_case "registers live after the loop keep the last copy" `Quick
+      (fun () ->
+        (* [t] is not loop-carried (defined before any use in the body)
+           but is read after the loop: renaming its copies left copy 0's
+           value (0) in it instead of the last iteration's (3) *)
+        let src =
+          "int g1; int main(){int i;int t;t=0;for(i=0;i<4;i++){g1=i;t=g1;} print_int(t);return 0;}"
+        in
+        let prog, _ = setup src in
+        let rtl = Backend.Lower.lower_program prog in
+        let total = ref 0 in
+        let fns =
+          List.map
+            (fun fn ->
+              let s = Backend.Unroll.run_fn ~factor:4 fn in
+              total := !total + s.Backend.Unroll.unrolled;
+              Backend.Unroll.refresh fn)
+            rtl.Backend.Rtl.fns
+        in
+        Alcotest.(check int) "unrolled" 1 !total;
+        let r = Machine.Exec.run { rtl with Backend.Rtl.fns = fns } in
+        Alcotest.(check string) "t" "3" (String.trim r.Machine.Exec.output));
   ]
 
 (* whole-pipeline semantic preservation with all passes on, over a few
