@@ -552,17 +552,23 @@ let step ?arg name = { pass = find_exn name; arg }
 let frontend_pipeline () : step list =
   [ step "parse_typecheck"; step "analysis"; step "tblconst"; step "serialize" ]
 
-(** The per-variant back half.  [Gcc_only] variants never import the
-    HLI (the baselines must not touch — or count — HLI lookups);
-    optional passes come from the validated [specs], in spec order. *)
-let backend_pipeline ~(alias : Backend.Ddg.mode) (specs : spec list) :
+(** The machine-independent part of the back half: everything before
+    scheduling.  It depends on the alias mode alone, so one run serves
+    every machine.  [Gcc_only] variants never import the HLI (the
+    baselines must not touch — or count — HLI lookups); optional passes
+    come from the validated [specs], in spec order. *)
+let backend_prefix ~(alias : Backend.Ddg.mode) (specs : spec list) :
     step list =
   [ step "lower" ]
   @ (match alias with
     | Backend.Ddg.With_hli -> [ step "hli_import" ]
     | Backend.Ddg.Gcc_only -> [])
   @ List.map (fun s -> step ?arg:s.sp_arg s.sp_pass) specs
-  @ [ step "ddg_schedule" ]
+
+(** The per-variant back half: the alias-mode prefix, then the
+    machine's scheduler. *)
+let backend_pipeline ~alias specs =
+  backend_prefix ~alias specs @ [ step "ddg_schedule" ]
 
 (** Check a pipeline: payload stages must chain, no pass runs twice,
     and every ordering constraint holds. *)
@@ -640,11 +646,43 @@ let run_parse_typecheck ctx (s : source) : Srclang.Tast.program =
     raise (Diagnostics.Diagnostic
              (Diagnostics.with_file (Option.get s.src_file) d))
 
+(** Run the machine-independent prefix for the context's alias mode. *)
+let run_prefix ctx (specs : spec list) (h : hli) : mapped =
+  let v = the_variant ctx in
+  expect Mapped
+    (run_pipeline ctx (backend_prefix ~alias:v.Variant.alias specs) (B (Hli, h)))
+
+(** Schedule a mapped program for the context's machine.  This rewrites
+    the program's blocks in place (and flags speculative loads). *)
+let run_schedule ctx (m : mapped) : scheduled =
+  expect Scheduled (run_pipeline ctx [ step "ddg_schedule" ] (B (Mapped, m)))
+
 (** Run the back half for the context's variant. *)
 let run_backend ctx (specs : spec list) (h : hli) : scheduled =
+  run_schedule ctx (run_prefix ctx specs h)
+
+(** Run the prefix once for the context's alias mode, then schedule it
+    for each of [machines], one after the other.  Every schedule but
+    the last works on a copy of the mapped RTL that shares no block or
+    instruction with it, so no schedule sees another's rewrites.  The
+    HLI maps (and the query indexes behind them) are shared: the
+    schedules only read them, all on the caller's domain. *)
+let run_backend_machines ctx (specs : spec list) (h : hli)
+    (machines : Variant.machine list) : (Variant.t * scheduled) list =
   let v = the_variant ctx in
-  expect Scheduled
-    (run_pipeline ctx (backend_pipeline ~alias:v.Variant.alias specs) (B (Hli, h)))
+  let m = run_prefix ctx specs h in
+  let rec go = function
+    | [] -> []
+    | machine :: rest ->
+        let v = { v with Variant.machine } in
+        let m =
+          if rest = [] then m
+          else { m with m_rtl = Backend.Rtl.copy_program m.m_rtl }
+        in
+        let s = run_schedule { ctx with variant = Some v } m in
+        (v, s) :: go rest
+  in
+  go machines
 
 (** Run the [simulate] pass over a scheduled variant. *)
 let simulate ctx (s : scheduled) : Machine.Simulate.report =

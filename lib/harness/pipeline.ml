@@ -2,11 +2,12 @@
     from the registered passes of {!Driver.Pass_manager}.
 
     [compile] mirrors Figure 3 of the paper: the front-end pipeline
-    (parse/typecheck → analysis → TBLCONST → serialize) runs once, then
-    the back-end pipeline (lower → [hli_import] → optional passes →
-    DDG scheduling) runs once per variant of {!Driver.Variant.matrix}.
-    Every variant lowers a fresh copy so schedules never contaminate
-    each other; with a {!Pool} the variants build concurrently.  Each
+    (parse/typecheck → analysis → TBLCONST → serialize) runs once; the
+    machine-independent back end (lower → [hli_import] → optional
+    passes) runs once per alias mode; DDG scheduling runs once per
+    variant of {!Driver.Variant.matrix}.  Each machine schedules its
+    own copy of the program, so schedules never contaminate each
+    other; with a {!Pool} the alias modes build concurrently.  Each
     pass is automatically wrapped in its derived telemetry span.
 
     Errors are {!Diagnostics.Diagnostic} values throughout — the table
@@ -28,9 +29,9 @@ type config = {
           used entries (by mtime) are trimmed on write; [None] means
           unbounded *)
   remote : string option;
-      (** hlid socket path; when set, every [With_hli] variant opens
-          its own server session and imports/queries/maintains HLI
-          over the wire instead of in-process.  A comma-separated list
+      (** hlid socket path; when set, the [With_hli] back end opens
+          one server session and imports/queries/maintains HLI over
+          the wire instead of in-process.  A comma-separated list
           ([--remote sock1,sock2,...]) is a sharded fleet: units hash
           across the listed hlid instances behind the client-library
           router (DESIGN.md §9) *)
@@ -94,8 +95,8 @@ let config_of_passes ?(ablation = Driver.Variant.baseline) passes =
    The optional-pass spec ([--passes]) is deliberately NOT part of the
    key: every selectable pass is a back-end pass (structural front-end
    passes are rejected by [parse_specs]), runs strictly after the
-   cached front-end output is produced, and mutates only per-variant
-   copies of the entries — so two configurations differing only in
+   cached front-end output is produced, and mutates only the back
+   end's own copies of the entries — so two configurations differing only in
    [--passes] share cache entries by construction.  [test_hli.ml]
    holds a regression test pinning this. *)
 
@@ -269,13 +270,6 @@ let build_hli_entries ?(opts = Hligen.Tblconst.default_options) ?tm prog =
           e)
         prog.Srclang.Tast.funcs)
 
-(** Compile a source program into all matrix variants.
-
-    Only the [With_hli] variants import the HLI and issue (counted)
-    queries — the [Gcc_only] baselines never touch HLI lookups, and
-    Table 2's measurement stream comes from exactly one pass (the
-    {!Driver.Variant.stats_variant}, whose [stats] this record
-    carries). *)
 (* The HLI-production phase on its own: parse/typecheck through
    TBLCONST and serialization sizing, with the per-function cache in
    front when [config.hli_cache] is set.  This is what an incremental
@@ -348,31 +342,46 @@ let frontend ?(config = default_config) ?src_file ?tm (src : string) :
         in
         { Driver.Pass.h_prog = prog; h_entries = entries; h_bytes }
 
+(** Compile a source program into all matrix variants.
+
+    The back end runs as one task per alias mode ([pool]: one task
+    each, concurrently): the machine-independent prefix (lower, then
+    [hli_import] and the optional passes) runs once, then the R4600
+    and the R10000 schedules run one after the other, each on its own
+    copy of the prefix's program.  A mode's HLI indexes, and their
+    memo tables, therefore stay on one domain.  With [config.remote],
+    the [With_hli] task opens one server session and runs its prefix
+    and both schedules in it.
+
+    Only the [With_hli] variants import the HLI and issue (counted)
+    queries — the [Gcc_only] baselines never touch HLI lookups, and
+    Table 2's measurement stream comes from exactly one schedule (the
+    {!Driver.Variant.stats_variant}'s, whose [stats] this record
+    carries). *)
 let compile ?(config = default_config) ?src_file ?pool ?tm (src : string) :
     compiled =
   let spanf = spanf ?tm () in
   let h = frontend ~config ?src_file ?tm src in
   let hli = { Hli_core.Tables.entries = h.Driver.Pass.h_entries } in
-  (* remote mode ships the locally produced container inline, so the
-     server answers over exactly the bytes Table 1 measures.  Serialized
-     up front rather than under [lazy]: every remote variant reads it
-     from its own pool domain, and concurrently forcing one lazy from
-     two domains raises [CamlinternalLazy.Undefined]. *)
-  let hli_wire =
+  (* one pool task per alias mode: the machine-independent prefix runs
+     once, then each machine's scheduler, all on the task's domain *)
+  let backend alias =
+    let run_with ?remote () =
+      (* the prefix reads only the alias mode of the context's variant *)
+      let variant =
+        { Driver.Variant.alias; machine = List.hd Driver.Variant.machines }
+      in
+      let ctx =
+        Driver.Pass.ctx ~spanf ~variant ~ablation:config.ablation ?remote ()
+      in
+      Driver.Pass_manager.run_backend_machines ctx config.specs h
+        Driver.Variant.machines
+    in
     match config.remote with
-    | Some _ -> Hli_core.Serialize.to_bytes hli
-    | None -> ""
-  in
-  let mk v =
-    match config.remote with
-    | Some socket when Driver.Variant.use_hli v -> (
-        let run_with remote =
-          let ctx =
-            Driver.Pass.ctx ~spanf ~variant:v ~ablation:config.ablation
-              ~remote ()
-          in
-          (v, Driver.Pass_manager.run_backend ctx config.specs h)
-        in
+    | Some socket when alias = Backend.Ddg.With_hli -> (
+        (* the session gets the locally produced container inline, so
+           the server answers over exactly the bytes Table 1 measures *)
+        let hli_wire = Hli_core.Serialize.to_bytes hli in
         match Remote.socket_list socket with
         | [] | [ _ ] ->
             let cl =
@@ -383,7 +392,7 @@ let compile ?(config = default_config) ?src_file ?pool ?tm (src : string) :
               ~finally:(fun () -> Hli_server.Client.close cl)
               (fun () ->
                 let opened = Hli_server.Client.open_hli_bytes cl hli_wire in
-                run_with (Remote.hooks_of_client cl opened))
+                run_with ~remote:(Remote.hooks_of_client cl opened) ())
         | socks ->
             (* --remote sock1,sock2,...: a sharded fleet behind the
                client-library router *)
@@ -395,14 +404,15 @@ let compile ?(config = default_config) ?src_file ?pool ?tm (src : string) :
               ~finally:(fun () -> Hli_server.Router.close rt)
               (fun () ->
                 let opened = Hli_server.Router.open_hli_bytes rt hli_wire in
-                run_with (Remote.hooks_of_router rt opened)))
-    | _ ->
-        let ctx =
-          Driver.Pass.ctx ~spanf ~variant:v ~ablation:config.ablation ()
-        in
-        (v, Driver.Pass_manager.run_backend ctx config.specs h)
+                run_with ~remote:(Remote.hooks_of_router rt opened) ()))
+    | _ -> run_with ()
   in
-  let variants = Pool.map_opt pool mk Driver.Variant.matrix in
+  let scheduled =
+    List.concat (Pool.map_opt pool backend Driver.Variant.aliases)
+  in
+  let variants =
+    List.map (fun v -> (v, List.assoc v scheduled)) Driver.Variant.matrix
+  in
   let stats_s =
     match List.assoc_opt Driver.Variant.stats_variant variants with
     | Some s -> s

@@ -272,6 +272,108 @@ let integration_tests =
             r2.Machine.Exec.output))
     [ "101.tomcatv"; "129.compress"; "048.ora" ]
 
+(* [Pipeline.compile] runs the back end's prefix once per alias mode
+   and schedules both machines from it; each variant must come out
+   exactly as a back end run for that variant alone, and the two
+   machines' programs must share no block or instruction record. *)
+let render_rtl (p : Backend.Rtl.program) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (f : Backend.Rtl.fn) ->
+      Buffer.add_string b (Fmt.str "fn %s %d\n" f.Backend.Rtl.fname f.Backend.Rtl.vreg_count);
+      Array.iter
+        (fun (bl : Backend.Rtl.block) ->
+          Buffer.add_string b
+            (Fmt.str "L%d succs=%a preds=%a\n" bl.Backend.Rtl.bid
+               Fmt.(list ~sep:(any ",") int) bl.Backend.Rtl.succs
+               Fmt.(list ~sep:(any ",") int) bl.Backend.Rtl.preds);
+          List.iter
+            (fun (i : Backend.Rtl.insn) ->
+              Buffer.add_string b
+                (Fmt.str "  %d: %a\n" i.Backend.Rtl.uid Backend.Rtl.pp_insn i))
+            bl.Backend.Rtl.insns)
+        f.Backend.Rtl.blocks)
+    p.Backend.Rtl.fns;
+  Buffer.contents b
+
+(* flag every instruction and empty every block of [p] *)
+let clobber (p : Backend.Rtl.program) =
+  List.iter
+    (fun (f : Backend.Rtl.fn) ->
+      Array.iter
+        (fun (bl : Backend.Rtl.block) ->
+          List.iter
+            (fun (i : Backend.Rtl.insn) ->
+              i.Backend.Rtl.spec <- true;
+              i.Backend.Rtl.item <- Some (-1))
+            bl.Backend.Rtl.insns;
+          bl.Backend.Rtl.insns <- [])
+        f.Backend.Rtl.blocks)
+    p.Backend.Rtl.fns
+
+let sharing_tests =
+  let passes = "cse,licm,unroll=4" in
+  let configs =
+    [
+      ("baseline", Driver.Variant.baseline);
+      ("hli-only", Option.get (Driver.Variant.find_ablation "hli-only"));
+      ("speculate=750", Driver.Variant.with_speculate 750 Driver.Variant.baseline);
+    ]
+  in
+  List.map
+    (fun (cname, ablation) ->
+      Alcotest.test_case ("prefix sharing, " ^ cname) `Slow (fun () ->
+          let config = Harness.Pipeline.config_of_passes ~ablation passes in
+          List.iter
+            (fun (w : Workloads.Workload.t) ->
+              let src = w.Workloads.Workload.source in
+              let c = Harness.Pipeline.compile ~config src in
+              let h = Harness.Pipeline.frontend ~config src in
+              List.iter
+                (fun v ->
+                  let what = w.Workloads.Workload.name ^ " " ^ Driver.Variant.name v in
+                  let shared = Harness.Pipeline.scheduled_of c v in
+                  let alone =
+                    Driver.Pass_manager.run_backend
+                      (Driver.Pass.ctx ~variant:v ~ablation ())
+                      config.Harness.Pipeline.specs h
+                  in
+                  Alcotest.(check string)
+                    (what ^ " rtl")
+                    (render_rtl alone.Driver.Pass.s_rtl)
+                    (render_rtl shared.Driver.Pass.s_rtl);
+                  Alcotest.(check bool)
+                    (what ^ " ddg stats") true
+                    (alone.Driver.Pass.s_stats = shared.Driver.Pass.s_stats);
+                  Alcotest.(check bool)
+                    (what ^ " notes and mapping counts") true
+                    (alone.Driver.Pass.s_notes = shared.Driver.Pass.s_notes
+                    && alone.Driver.Pass.s_unmapped = shared.Driver.Pass.s_unmapped
+                    && alone.Driver.Pass.s_duplicates = shared.Driver.Pass.s_duplicates
+                    && alone.Driver.Pass.s_dropped = shared.Driver.Pass.s_dropped))
+                Driver.Variant.matrix;
+              List.iter
+                (fun alias ->
+                  let rtl machine =
+                    Harness.Pipeline.rtl_of c { Driver.Variant.alias; machine }
+                  in
+                  let r4600 = rtl Driver.Variant.R4600
+                  and r10000 = rtl Driver.Variant.R10000 in
+                  let what =
+                    w.Workloads.Workload.name ^ " " ^ Driver.Variant.alias_name alias
+                  in
+                  let before = render_rtl r10000 in
+                  clobber r4600;
+                  Alcotest.(check string) (what ^ ": r10000 untouched") before
+                    (render_rtl r10000);
+                  let before = render_rtl r4600 in
+                  clobber r10000;
+                  Alcotest.(check string) (what ^ ": r4600 untouched") before
+                    (render_rtl r4600))
+                Driver.Variant.aliases)
+            Workloads.Registry.all))
+    configs
+
 let () =
   Alcotest.run "passes"
     [
@@ -279,4 +381,5 @@ let () =
       ("licm", licm_tests);
       ("unroll", unroll_tests);
       ("integration", integration_tests);
+      ("sharing", sharing_tests);
     ]
