@@ -112,12 +112,9 @@ let step (t : t) (i : Decode.insn) addr (_taken : bool) misspec =
   let lsq_ready =
     if (not i.Decode.is_load) || not t.md.Backend.Machdesc.lsq_blocking then 0
     else begin
-      (* the earlier entries are the slots before [slot], at most
-         window - 1 of them, and never slot 0 while the buffer is still
-         filling (the first instruction is not looked at) *)
-      let stores =
-        t.rob_stores land lnot (1 lsl slot) land if t.seq < window then lnot 1 else -1
-      in
+      (* the earlier entries are every other slot: while the buffer
+         is still filling, the slots above [slot] hold no stores yet *)
+      let stores = t.rob_stores land lnot (1 lsl slot) in
       let word = addr land lnot 7 in
       let w = ref 0 and m = ref stores in
       while !m <> 0 do
